@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import platform
 import sys
 import time
@@ -269,53 +268,6 @@ def print_history(path: Path) -> int:
     return 0
 
 
-#: Cells the wheel-vs-macro engine gate times (the macro engine only
-#: changes guest tick delivery, so only end-to-end cells can differ).
-_ENGINE_GATE_CELLS = (
-    "fig6_npb_cell",
-    "faults_cell",
-    "decentralized_50vm",
-    "fig4_dom0_sweep",
-)
-
-
-def engine_gate(quick: bool, limit: float) -> int:
-    """Fail when the macro engine is slower than the wheel on any e2e cell.
-
-    Runs the engines *interleaved* (wheel, macro, wheel, macro, ...) and
-    keeps each engine's best time, so slow machine drift cancels out
-    instead of being attributed to whichever engine ran last.  ``limit``
-    absorbs residual timer noise on cells where macro is only at par.
-    """
-    e2e = _load("e2e_bench")
-    failures = []
-    for cell in _ENGINE_GATE_CELLS:
-        fn = getattr(e2e, cell)
-        best = {"wheel": float("inf"), "macro": float("inf")}
-        for engine in best:  # one warm-up per engine
-            os.environ["REPRO_SIM_ENGINE"] = engine
-            fn(quick=quick)
-        for _ in range(3):
-            for engine in best:
-                os.environ["REPRO_SIM_ENGINE"] = engine
-                start = time.perf_counter()
-                fn(quick=quick)
-                best[engine] = min(best[engine], time.perf_counter() - start)
-        os.environ.pop("REPRO_SIM_ENGINE", None)
-        ratio = best["macro"] / best["wheel"]
-        status = "OK" if ratio <= 1.0 + limit else "FAIL"
-        print(f"  e2e.{cell:<24} wheel {best['wheel'] * 1e3:8.2f} ms  "
-              f"macro {best['macro'] * 1e3:8.2f} ms  ({ratio:.2f}x)  {status}")
-        if ratio > 1.0 + limit:
-            failures.append((cell, ratio))
-    if failures:
-        print(f"FAIL: macro engine slower than wheel on " +
-              ", ".join(f"{n} ({r:.2f}x)" for n, r in failures))
-        return 1
-    print("engine gate passed (macro at least on par with wheel)")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -343,22 +295,10 @@ def main() -> int:
     parser.add_argument("--history", action="store_true",
                         help="print the recorded per-bench trajectory from "
                              "the results file and exit (no benches run)")
-    parser.add_argument("--engine-gate", action="store_true",
-                        help="A/B the wheel and macro engines on the e2e "
-                             "cells and fail if macro is slower; runs only "
-                             "this comparison")
-    parser.add_argument("--max-engine-slowdown", type=float, default=0.10,
-                        help="allowed macro-vs-wheel slowdown in the engine "
-                             "gate before failing (default 0.10, absorbs "
-                             "timer noise on at-par cells)")
     args = parser.parse_args()
 
     if args.history:
         return print_history(args.output or REPO_ROOT / "BENCH_sim.json")
-    if args.engine_gate:
-        print(f"perf_bench: engine gate ({'quick' if args.quick else 'full'} "
-              f"sizes), python {platform.python_version()}")
-        return engine_gate(args.quick, args.max_engine_slowdown)
 
     print(f"perf_bench: {'quick' if args.quick else 'full'} run, "
           f"python {platform.python_version()}")

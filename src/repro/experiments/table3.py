@@ -79,9 +79,6 @@ def run(iterations: int = 200, threads: int = 4, seed: int = 1) -> Table3Result:
         # Unpin before freeze so the threads are migratable, re-pin after.
         for thread in kernel.threads:
             thread.pinned_to = None
-        # Unpinning creates steal candidates, which can shorten the
-        # macro-step horizons of sibling vCPUs' quiescent regions.
-        kernel._macro_refresh()
         balancer.freeze(1)
         deadline = machine.sim.now + 50 * MS
         while vcpu1.state is not VCPUState.FROZEN and machine.sim.now < deadline:

@@ -21,7 +21,6 @@ spin budgets therefore measure on-CPU time, exactly like a real busy-wait.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
@@ -73,15 +72,6 @@ class GuestConfig:
     pv_spinlock: bool = False
     #: On-CPU spin budget before a pv-spinlock waiter yields.
     pv_spin_budget_ns: int = 30 * US
-    #: Coalesce scheduler ticks while a vCPU is runnable but off-CPU: the
-    #: per-tick effects (interrupt counters) are folded in arithmetically
-    #: when the vCPU resumes, instead of firing one event per tick.  Pure
-    #: performance knob — results are identical either way.
-    #: ``REPRO_COALESCE_TICKS=0`` flips the default off, for A/B timing and
-    #: the equivalence tests.
-    coalesce_ticks: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_COALESCE_TICKS", "1") != "0"
-    )
     #: Extra bookkeeping for experiments.
     tags: dict = field(default_factory=dict)
 
@@ -103,26 +93,19 @@ class _FreezeMask(set):
         self._kernel = kernel
 
     def add(self, index: int) -> None:
-        changed = index not in self
-        if changed:
+        if index not in self:
             self._kernel._coalesce_fold(index)
         super().add(index)
-        if changed:
-            self._kernel._macro_refresh()
 
     def discard(self, index: int) -> None:
-        changed = index in self
-        if changed:
+        if index in self:
             self._kernel._coalesce_fold(index)
         super().discard(index)
-        if changed:
-            self._kernel._macro_refresh()
 
     def remove(self, index: int) -> None:
         if index in self:
             self._kernel._coalesce_fold(index)
         super().remove(index)
-        self._kernel._macro_refresh()
 
     def update(self, *others) -> None:
         for other in others:
@@ -154,16 +137,10 @@ class GuestKernel:
         #: Coalesced (virtualized) tick chains: due time of the next elided
         #: tick for a runnable-but-off-CPU vCPU, or None.  See _coalesce_fold.
         self._tick_virtual: list[int | None] = [None] * n
-        self._coalesce = self.config.coalesce_ticks
-        #: Macro-stepping (REPRO_SIM_ENGINE=macro): elide *on-CPU* scheduler
-        #: ticks across provably-quiescent regions too.  Implied-off when
-        #: tick coalescing is disabled, so REPRO_COALESCE_TICKS=0 A/Bs both.
-        self._macro = self._coalesce and bool(getattr(self.sim, "macro", False))
-        #: Due time of the next elided on-CPU tick per vCPU with an open
-        #: macro region (see _macro_horizon), or None.
-        self._macro_due: list[int | None] = [None] * n
-        #: vCPUs with an open macro region.
-        self._macro_active: set[int] = set()
+        #: Coalesce off-CPU ticks everywhere but under the heap reference
+        #: engine, which keeps eager ticks (one real event per tick) as the
+        #: oracle the production path is tested against.
+        self._coalesce = self.sim.engine != "heap"
         self._ticks_seen = [0] * n
         #: vCPU index currently executing kernel code, for IPI attribution.
         self._context: int | None = None
@@ -225,7 +202,6 @@ class GuestKernel:
         rq = self.runqueues[target]
         thread.vruntime = max(thread.vruntime, rq.min_vruntime)
         rq.enqueue(thread)
-        self._macro_refresh()  # the enqueue changed loads everywhere
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
             sanitizer.check_thread_placement(self, thread, target)
@@ -248,18 +224,6 @@ class GuestKernel:
             return
         self._pause_current_action(i)
         self._executing[i] = False
-        if i in self._macro_active:
-            # Open region with no in-flight action (the pause above closed
-            # it otherwise): convert straight into an off-CPU virtual chain.
-            self._macro_fold(i, self.sim.now)
-            self._tick_virtual[i] = self._macro_due[i]
-            self._macro_due[i] = None
-            self._macro_active.discard(i)
-            event = self._tick_events[i]
-            if event is not None:
-                event.cancel()
-                self._tick_events[i] = None
-            return
         if self._coalesce:
             # Virtualize the tick chain while the vCPU waits for a pCPU:
             # off-CPU ticks only bump interrupt counters, so they can be
@@ -321,7 +285,6 @@ class GuestKernel:
         rq.picked_at = self.sim.now
         rq.pending_overhead_ns += self.config.ctx_switch_ns
         nxt.state = ThreadState.RUNNING
-        self._macro_refresh_one(i)  # dequeue/current/picked_at are inputs
         self._advance(i)
 
     def _go_idle(self, i: int) -> None:
@@ -371,7 +334,6 @@ class GuestKernel:
             action.waitable.add_blocked(thread)
             rq.current = None
             rq.advance_min_vruntime()
-            self._macro_refresh_one(i)
             self._dispatch(i)
         elif isinstance(action, Compute):
             self._begin_timed(i, thread, action.remaining_ns, outcome=None)
@@ -435,7 +397,6 @@ class GuestKernel:
         if rq.current is thread:
             rq.current = None
             rq.advance_min_vruntime()
-        self._macro_refresh_one(i)
         for listener in self.exit_listeners:
             listener(thread)
         self._dispatch(i)
@@ -464,7 +425,6 @@ class GuestKernel:
         thread.exec_ns += elapsed
         thread.vruntime += elapsed
         rq.advance_min_vruntime()
-        self._macro_refresh_one(i)  # vruntime is a preemption-lag input
         if finished:
             rq.pending_overhead_ns = 0
             return
@@ -489,10 +449,6 @@ class GuestKernel:
             thread.state = ThreadState.READY
             rq.enqueue(thread)
         rq.advance_min_vruntime()
-        if to_ready:
-            self._macro_refresh()  # new steal candidate for siblings
-        else:
-            self._macro_refresh_one(i)
 
     # ------------------------------------------------------------------
     # Wakeups and runqueue selection (all consult the freeze mask)
@@ -512,7 +468,6 @@ class GuestKernel:
         thread.vruntime = max(thread.vruntime, floor)
         thread.state = ThreadState.READY
         rq.enqueue(thread)
-        self._macro_refresh()  # the enqueue changed loads everywhere
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
             sanitizer.check_thread_placement(self, thread, target)
@@ -635,195 +590,17 @@ class GuestKernel:
             self._coalesce_fold(i)
             due = self._tick_virtual[i]
             if due is not None:
+                # The re-armed event takes a fresh seq: at its due time it
+                # fires after same-instant events (a sibling's tick, say)
+                # that the eager chain's older event would have preceded.
+                # A known divergence: EXPERIMENTS.md §Deviations, item 5.
                 self._tick_virtual[i] = None
-                self._arm_tick(i, due)
+                self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
                 return
-        if self._tick_events[i] is None and i not in self._macro_active:
-            self._arm_tick(i, self.sim.now + self.config.tick_ns)
-
-    def _arm_tick(self, i: int, due: int) -> None:
-        """Arm the tick chain of vCPU ``i``, next tick due at ``due``.
-
-        In macro mode this is where quiescent regions open: when every tick
-        from ``due`` up to (but excluding) some horizon is provably a pure
-        counter bump, those ticks are elided and only the horizon tick is
-        scheduled as a real event (none at all for an infinite horizon).
-        """
-        if not self._macro:
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
-            return
-        horizon = self._macro_horizon(i, due)
-        if horizon == due:
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
-            return
-        self._macro_due[i] = due
-        self._macro_active.add(i)
-        if horizon is None:
-            self._tick_events[i] = None
-        else:
-            self._tick_events[i] = self.sim.schedule_at(horizon, self._tick, i)
-
-    def _macro_horizon(self, i: int, due: int) -> int | None:
-        """First tick time >= ``due`` whose handler could do real work.
-
-        Returns ``due`` itself when no region can open (the very next tick
-        is interesting, or the vCPU is ineligible), a later grid time when
-        the first interesting tick is further out, or None when *no* future
-        tick can matter (infinite horizon — e.g. a lone compute-bound
-        thread with empty sibling queues).
-
-        The proof obligation: between region open and the first mutation of
-        any input read below, every elided tick's handler reduces to the
-        counter bumps `_macro_fold` applies.  All inputs are guarded by
-        `_macro_refresh` calls at their mutation sites; time-dependent
-        terms (`ran >= ideal`) are solved in closed form on the tick grid.
-        """
-        vcpu = self.domain.vcpus[i]
-        if (
-            not self._executing[i]
-            or self.rcu is not None
-            or vcpu.state is VCPUState.FROZEN
-            or i in self.cpu_freeze_mask
-            or i in self._freeze_migration
-        ):
-            return due
-        rq = self.runqueues[i]
-        current = rq.current
-        if current is None:
-            return due
-        period = self.config.tick_ns
-        horizon: int | None = None
-        ready = rq.ready
-        # (1) Slice preemption (_tick_preemption): fires once the current
-        # thread ran for `ideal`; `lagging` is constant between
-        # invalidations (vruntimes only change under _account_progress).
-        if ready and not (current.rt or current.nonpreemptible):
-            ideal = max(
-                self.config.quantum_ns // 8,
-                self.config.sched_latency_ns // (len(ready) + 1),
-            )
-            best = rq.pick_next()
-            if best is not None and not best.rt and (
-                current.vruntime - best.vruntime > ideal
-            ):
-                return due  # lagging: the real tick handler must decide
-            first = rq.picked_at + ideal  # first tick with ran >= ideal
-            if first <= due:
-                return due
-            horizon = due + ((first - due + period - 1) // period) * period
-        runqueues = self.runqueues
-        if len(runqueues) > 1:
-            # One fused sibling scan for terms (2) and (3).  Loads and
-            # candidate sets only change at refresh sites.
-            my_load = len(ready) + 1
-            busy = my_load >= 2
-            mask = self.cpu_freeze_mask
-            vcpus = self.domain.vcpus
-            busiest = None
-            busiest_load = -1
-            for j, sibling in enumerate(runqueues):
-                if j == i:
-                    continue
-                load = len(sibling.ready) + (1 if sibling.current else 0)
-                if load > busiest_load:  # first max, like _busiest_rq
-                    busiest = sibling
-                    busiest_load = load
-                # (3) nohz idle kick: effective on every tick while this
-                # queue is overloaded and an idle BLOCKED sibling exists
-                # (BLOCKED edges invalidate via vcpu_blocked_edge).
-                if (
-                    busy
-                    and load == 0
-                    and j not in mask
-                    and vcpus[j].state is VCPUState.BLOCKED
-                ):
-                    return due
-            # (2) Periodic load balance: a no-op unless the imbalance
-            # condition holds with stealable threads.
-            if busiest_load - my_load >= 2 and busiest.steal_candidates():
-                lb = self.config.lb_interval_ticks
-                m = (-self._ticks_seen[i]) % lb or lb  # pre-increments
-                balance_at = due + (m - 1) * period
-                if horizon is None or balance_at < horizon:
-                    horizon = balance_at
-        return horizon
-
-    def _macro_fold(self, i: int, limit: int) -> None:
-        """Fold the elided ticks of an open region with due <= ``limit``."""
-        due = self._macro_due[i]
-        if due is None or due > limit:
-            return
-        period = self.config.tick_ns
-        ticks = (limit - due) // period + 1
-        self.timer_interrupts[i].inc(ticks)
-        self._ticks_seen[i] += ticks
-        self._macro_due[i] = due + ticks * period
-
-    def _macro_refresh(self) -> None:
-        """Re-evaluate every open macro region after a state mutation.
-
-        Call *after* mutating any `_macro_horizon` input.  `_macro_fold`
-        is an unconditional counter bump over a fixed grid, so fold order
-        relative to the mutation cannot matter; the horizon, however, must
-        be recomputed against the post-mutation world.  Unchanged horizons
-        keep their scheduled event (the common case — zero queue traffic),
-        moved ones re-arm, and a region whose very next tick became
-        interesting closes with a real tick at that due time.  A tick
-        falling exactly on the mutation instant resolves tick-first — the
-        same convention (and the same accepted seq-order caveat) as
-        `_coalesce_fold`.
-        """
-        if not self._macro_active:
-            return
-        now = self.sim.now
-        for i in sorted(self._macro_active):
-            self._macro_refresh_region(i, now)
-
-    def _macro_refresh_one(self, i: int) -> None:
-        """Re-evaluate vCPU ``i``'s open region after a mutation whose
-        horizon effects are confined to that region.
-
-        A mutation may use this (or skip refreshing entirely) when, for
-        every *other* open region, it can only lengthen the true horizon
-        — a kept-but-stale shorter horizon is safe: the real tick fires
-        early, does nothing, and re-arms with the longer region.  Only
-        mutations that can *shorten* another region's horizon (enqueues
-        raising a load, a vCPU blocking, preempt_enable, unpinning) need
-        the global `_macro_refresh`.
-        """
-        if i in self._macro_active:
-            self._macro_refresh_region(i, self.sim.now)
-
-    def _macro_refresh_region(self, i: int, now: int) -> None:
-        event = self._tick_events[i]
-        # The region's proof covers [due, horizon) — the scheduled
-        # horizon tick itself is *interesting* and must fire for real,
-        # so a refresh landing exactly on the horizon instant may not
-        # fold it away (its handler still runs this instant, after us).
-        limit = now if event is None else min(now, event.time - 1)
-        self._macro_fold(i, limit)
-        due = self._macro_due[i]
-        horizon = self._macro_horizon(i, due)
-        if horizon == due:
-            self._macro_due[i] = None
-            self._macro_active.discard(i)
-            if event is not None:
-                event.cancel()
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
-        elif horizon is None:
-            if event is not None:
-                event.cancel()
-                self._tick_events[i] = None
-        elif event is None or event.time != horizon:
-            if event is not None:
-                event.cancel()
-            self._tick_events[i] = self.sim.schedule_at(horizon, self._tick, i)
+        if self._tick_events[i] is None:
+            self._tick_events[i] = self.sim.schedule(self.config.tick_ns, self._tick, i)
 
     def _cancel_tick(self, i: int) -> None:
-        if i in self._macro_active:
-            self._macro_fold(i, self.sim.now)
-            self._macro_active.discard(i)
-        self._macro_due[i] = None
         self._tick_virtual[i] = None
         event = self._tick_events[i]
         if event is not None:
@@ -863,32 +640,13 @@ class GuestKernel:
         self._tick_virtual[i] = due + ticks * period
 
     def sync_ticks(self) -> None:
-        """Fold every vCPU's coalesced ticks, for mid-run counter readers.
-
-        Macro regions are folded up to now but stay open: reading a
-        counter is not a horizon input, so the region conditions still
-        hold afterwards.
-        """
-        now = self.sim.now
+        """Fold every vCPU's coalesced ticks, for mid-run counter readers."""
         for i in range(len(self.runqueues)):
             self._coalesce_fold(i)
-            if i in self._macro_active:
-                event = self._tick_events[i]
-                # Never pre-count a horizon tick that is about to fire
-                # for real this instant (it counts itself in `_tick`).
-                limit = now if event is None else min(now, event.time - 1)
-                self._macro_fold(i, limit)
 
     def vcpu_frozen_edge(self, vcpu: VCPU) -> None:
         """Hypervisor hook: ``vcpu`` is about to enter or leave FROZEN."""
         self._coalesce_fold(vcpu.index)
-
-    def vcpu_blocked_edge(self, vcpu: VCPU) -> None:
-        """Hypervisor hook: ``vcpu`` just entered or left BLOCKED — an
-        input of sibling macro regions (the nohz kick scans for idle
-        BLOCKED siblings).  Called *after* the transition, unlike the
-        frozen edge, so the horizon recheck sees the new state."""
-        self._macro_refresh()
 
     def _tick(self, i: int) -> None:
         """One virtual timer interrupt on vCPU i.
@@ -899,12 +657,6 @@ class GuestKernel:
         the vCPU is actually executing.
         """
         self._tick_events[i] = None
-        if i in self._macro_active:
-            # This is the horizon tick of an open region: fold the elided
-            # ticks strictly before now (this tick counts itself below).
-            self._macro_fold(i, self.sim.now - 1)
-            self._macro_due[i] = None
-            self._macro_active.discard(i)
         vcpu = self.domain.vcpus[i]
         if vcpu.state is VCPUState.FROZEN or i in self.cpu_freeze_mask:
             if (
@@ -942,7 +694,7 @@ class GuestKernel:
                 self._nohz_kick(i)
             finally:
                 self._context = previous_context
-        self._arm_tick(i, self.sim.now + self.config.tick_ns)
+        self._tick_events[i] = self.sim.schedule(self.config.tick_ns, self._tick, i)
 
     def _tick_preemption(self, i: int) -> None:
         """CFS-style slice check: with N runnable threads each gets about
@@ -1033,7 +785,6 @@ class GuestKernel:
             f"{self.domain.name}/{thread.name}", src=src, dst=dst,
         )
         self.runqueues[charge_to].pending_overhead_ns += self.config.migration_cost_ns
-        self._macro_refresh()
 
     # ------------------------------------------------------------------
     # Freeze-side thread eviction (Algorithm 2, target vCPU)
@@ -1051,7 +802,6 @@ class GuestKernel:
         cost = self.config.migration_cost_ns * max(1, len(movable))
         event = self.sim.schedule(cost, self._finish_freeze_migration, i)
         self._freeze_migration[i] = event
-        self._macro_refresh()  # _freeze_migration is a horizon input
 
     def _finish_freeze_migration(self, i: int) -> None:
         self._freeze_migration.pop(i, None)
@@ -1085,7 +835,6 @@ class GuestKernel:
                     channel.rebind(candidates[0])
         finally:
             self._context = previous_context
-        self._macro_refresh()
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
             sanitizer.check_freeze_migration(self, i)
@@ -1110,7 +859,6 @@ class GuestKernel:
         if not 0 <= vcpu_index < len(self.runqueues):
             raise ValueError(f"no vCPU {vcpu_index}")
         thread.pinned_to = vcpu_index
-        self._macro_refresh()  # pinning shrinks steal-candidate sets
         if thread.state is not ThreadState.READY:
             return False
         src = thread.vcpu_index

@@ -50,9 +50,6 @@ class RCUDomain:
         #: (grace period number, latency ns) history for analysis.
         self.latencies: list[tuple[int, int]] = []
         kernel.rcu = self
-        # The kernel's tick reports quiescent states from here on: close
-        # any macro-stepped tick regions that assumed no RCU.
-        kernel._macro_refresh()
 
     # ------------------------------------------------------------------
     def call_rcu(self, callback: Callable[[], None]) -> int:

@@ -23,10 +23,12 @@ Design notes
       are plain ``(time, seq, event)`` tuples so comparisons run in C.
 
   ``heap``
-      The reference engine: one binary heap.  Kept for differential testing
-      — both engines must produce bit-identical event orderings (seq is
-      unique, so ``(time, seq)`` is a total order and any correct priority
-      queue agrees).
+      The reference oracle for tests: one binary heap.  Both queues produce
+      bit-identical event orderings (seq is unique, so ``(time, seq)`` is a
+      total order and any correct priority queue agrees).  Under ``heap``
+      the guest kernel also keeps eager ticks (one real event per tick)
+      instead of coalescing off-CPU ticks, so the oracle is the plain,
+      unoptimized model the production path is compared against.
 
 * ``peek_time`` and ``pending_count`` are O(1) amortized: the queue keeps a
   live-event counter, and peeking only pays for the tombstones it discards
@@ -343,12 +345,7 @@ class _WheelQueue:
         return True
 
 
-# "macro" runs on the wheel queue but additionally advertises itself to
-# clients (via ``Simulator.macro``) as permitting macro-stepping: consumers
-# such as the guest kernel may then elide provably-quiescent events and
-# advance their effects in closed form.  The engine itself is unchanged —
-# quiescence detection lives with the state it reasons about.
-_ENGINES = {"wheel": _WheelQueue, "heap": _HeapQueue, "macro": _WheelQueue}
+_ENGINES = {"wheel": _WheelQueue, "heap": _HeapQueue}
 
 
 class Simulator:
@@ -369,9 +366,9 @@ class Simulator:
 
     def __init__(self, engine: str | None = None) -> None:
         if engine is None:
-            # All engines produce identical event orderings, so the choice
-            # is a pure performance knob; the env override lets the perf
-            # harness A/B them without threading a parameter everywhere.
+            # "wheel" is production; "heap" is the test oracle (see the
+            # module notes).  The env override lets tests and scripts pick
+            # the oracle without threading a parameter everywhere.
             engine = os.environ.get("REPRO_SIM_ENGINE", "wheel")
         if engine not in _ENGINES:
             raise ValueError(
@@ -379,11 +376,6 @@ class Simulator:
             )
         self.now: int = 0
         self.engine = engine
-        #: Macro-stepping opt-in: event producers that can prove a stretch
-        #: of their own events quiescent (no observable effect beyond
-        #: counter bumps) may skip scheduling them and fold the effects in
-        #: arithmetically.  See ``GuestKernel._macro_horizon``.
-        self.macro = engine == "macro"
         self._queue = _ENGINES[engine]()
         self._seq: int = 0
         self._running = False

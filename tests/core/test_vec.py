@@ -1,72 +1,11 @@
-"""Bit-identity of the vectorized batch kernels and coalesced RNG draws.
+"""Bit-identity of coalesced RNG draws.
 
-The vectorized paths are only allowed to exist because they are
-indistinguishable from the scalar ones: same IEEE doubles, same Python
-object types at the clamp bounds (serialized state can see int-vs-float),
-same RNG stream positions.  These tests pin each of those properties, on
-both sides of the ``REPRO_NO_VECTOR`` switch.
+``jittered_sum`` draws several jittered costs in one pass; it is only
+allowed to exist because it is indistinguishable from separate
+``jittered`` calls: same values, same RNG stream positions.
 """
 
-import math
-import os
-
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.core import vec
 from repro.sim.rng import SeedSequenceFactory, jittered, jittered_sum
-
-
-def _scalar_clipped_add(values, delta, lo, hi):
-    return [min(hi, max(lo, v + delta)) for v in values]
-
-
-_floats = st.floats(
-    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-)
-
-
-@given(
-    values=st.lists(_floats, min_size=0, max_size=40),
-    delta=_floats,
-    bound=st.integers(min_value=1, max_value=10**9),
-)
-def test_clipped_add_matches_scalar_loop(values, delta, bound):
-    lo, hi = -bound, bound
-    expected = _scalar_clipped_add(values, delta, lo, hi)
-    previous = os.environ.pop("REPRO_NO_VECTOR", None)
-    try:
-        vectorized = vec.clipped_add(values, delta, lo, hi)
-        os.environ["REPRO_NO_VECTOR"] = "1"
-        scalar = vec.clipped_add(values, delta, lo, hi)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_VECTOR", None)
-        else:
-            os.environ["REPRO_NO_VECTOR"] = previous
-    assert vectorized == expected
-    assert scalar == expected
-    # Clamped slots must carry the original bound *objects* — Python's
-    # min/max return the bound itself (an int here), and serialized
-    # state distinguishes 300 from 300.0.
-    for got, want in zip(vectorized, expected):
-        assert type(got) is type(want), (got, want)
-
-
-def test_clipped_add_uses_numpy_above_min_batch():
-    if not vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
-    values = [float(i) for i in range(vec._MIN_BATCH)]
-    out = vec.clipped_add(values, 0.5, -2, 3)
-    assert out == [min(3, max(-2, v + 0.5)) for v in values]
-    assert all(isinstance(v, (int, float)) for v in out)
-
-
-def test_vector_enabled_honors_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    assert not vec._vector_enabled()
-    monkeypatch.delenv("REPRO_NO_VECTOR")
-    assert vec._vector_enabled() == vec.HAVE_NUMPY
 
 
 COSTS = ((1200, 0.06), (5400, 0.08), (800, 0.10), (2500, 0.05))
@@ -96,9 +35,3 @@ def test_jittered_sum_clamps_each_component():
     stream = SeedSequenceFactory(1).stream("tiny", "normal")
     total = jittered_sum(stream, ((1, 5.0),) * 100)
     assert total >= 100  # 100 components, each at least 1
-
-
-def test_clipped_add_empty_and_math_edge():
-    assert vec.clipped_add([], 1.0, -5, 5) == []
-    out = vec.clipped_add([math.inf], 0.0, -5, 5)
-    assert out == [5]

@@ -1,11 +1,11 @@
-"""Optimization on/off equivalence against the golden snapshots.
+"""Production-vs-oracle equivalence against the golden snapshots.
 
-The golden tests (:mod:`tests.experiments.test_goldens`) already run with
-the fast path fully enabled — tick coalescing on, timer-wheel engine —
-because those are the defaults.  These tests flip each optimization OFF
-via its environment knob and re-run a cell, requiring the *same* golden
-bytes: the fast path must be a pure performance change, invisible in
-every number an experiment produces.
+The golden tests (:mod:`tests.experiments.test_goldens`) run the
+production configuration: the timer-wheel engine with off-CPU tick
+coalescing.  This test re-runs cells under the heap reference oracle
+(``REPRO_SIM_ENGINE=heap``: one real event per tick) and requires the
+*same* golden bytes: coalescing must be invisible in every number these
+experiments produce.
 """
 
 import json
@@ -16,30 +16,12 @@ from repro.experiments import results
 from tests.experiments.test_goldens import CASES, GOLDENS
 
 
-def _expect_golden(name):
-    path = GOLDENS / f"{name}.json"
-    assert path.exists(), f"missing golden {path}"
-    return json.loads(path.read_text())
-
-
-@pytest.mark.parametrize("name", ["fig6_cell_cg_vscale", "faults_cell_cg_vscale"])
-def test_coalescing_off_matches_golden(monkeypatch, name):
-    monkeypatch.setenv("REPRO_COALESCE_TICKS", "0")
-    computed = json.loads(results.dumps(CASES[name](), experiment=name))
-    assert computed == _expect_golden(name)
-
-
-@pytest.mark.parametrize("name", ["fig6_cell_cg_vscale", "table1"])
+@pytest.mark.parametrize(
+    "name", ["fig6_cell_cg_vscale", "faults_cell_cg_vscale", "table1"]
+)
 def test_heap_engine_matches_golden(monkeypatch, name):
     monkeypatch.setenv("REPRO_SIM_ENGINE", "heap")
+    path = GOLDENS / f"{name}.json"
+    assert path.exists(), f"missing golden {path}"
     computed = json.loads(results.dumps(CASES[name](), experiment=name))
-    assert computed == _expect_golden(name)
-
-
-def test_everything_off_matches_golden(monkeypatch):
-    """Both knobs off at once — the fully unoptimized configuration."""
-    monkeypatch.setenv("REPRO_COALESCE_TICKS", "0")
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "heap")
-    name = "fig6_cell_cg_vscale"
-    computed = json.loads(results.dumps(CASES[name](), experiment=name))
-    assert computed == _expect_golden(name)
+    assert computed == json.loads(path.read_text())

@@ -5,7 +5,7 @@ The central contract of :mod:`repro.recovery.checkpoint`:
 * snapshots are *pure* — taking one leaves the run bit-identical to
   never snapshotting;
 * restore-then-run is bit-identical to straight-through, for every
-  registered scheduler under both event-queue engines;
+  registered scheduler under the production engine and the heap oracle;
 * the state format is name-keyed, so fingerprints compare across
   independently built machines (the restore path depends on this).
 """
@@ -22,7 +22,7 @@ from repro.recovery import RestoreMismatch, capture, fingerprint, restore, state
 from repro.units import MS
 
 ALL_SCHEDULERS = available()
-ENGINES = ("wheel", "heap", "macro")
+ENGINES = ("wheel", "heap")
 
 SNAP_NS = 40 * MS
 END_NS = 120 * MS

@@ -8,6 +8,7 @@ scheduling, and delays spanning granule/window/far-heap boundaries — and
 require identical traces.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
@@ -125,3 +126,9 @@ def test_engine_selection_env_var(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_ENGINE", "wheel")
     assert Simulator().engine == "wheel"
     assert Simulator(engine="heap").engine == "heap"
+
+
+@pytest.mark.parametrize("engine", ["macro", "bogus"])
+def test_unknown_engine_rejected(engine):
+    with pytest.raises(ValueError, match="unknown engine"):
+        Simulator(engine=engine)
