@@ -61,12 +61,51 @@ def _chaos_cell():
     return chaos.run_chaos_cell("crash", seed=3, work_scale=0.05)
 
 
+def _parsec_cell():
+    from repro.experiments import fig11_13
+    from repro.experiments.setups import Config
+
+    return fig11_13.run_cell("dedup", 4, Config.VSCALE, work_scale=0.05)
+
+
+def _fig14_point():
+    from repro.experiments import fig14
+    from repro.experiments.setups import Config
+    from repro.units import MS
+
+    return fig14.run_point(Config.VSCALE, 4000, duration_ns=200 * MS)
+
+
+def _generality_cell():
+    from repro.experiments import generality
+    from repro.experiments.setups import Config
+
+    return generality.run_cell("credit", Config.VSCALE, work_scale=0.05)
+
+
+def _mechanism_point():
+    from repro.experiments import ablations
+
+    return ablations._mechanism_point("hotplug", "cg", "v3.14.15", 3, 0.05)
+
+
+def _policy_point():
+    from repro.experiments import ablations
+
+    return ablations._policy_point("vcpubal", "cg", 3, 0.05)
+
+
 CASES = {
     "table1": _table1,
     "table3": _table3,
     "fig6_cell_cg_vscale": _fig6_cell,
     "faults_cell_cg_vscale": _faults_cell,
     "chaos_cell_crash": _chaos_cell,
+    "fig11_13_cell_dedup_vscale": _parsec_cell,
+    "fig14_point_vscale_4000": _fig14_point,
+    "generality_cell_credit_vscale": _generality_cell,
+    "ablations_mechanism_hotplug": _mechanism_point,
+    "ablations_policy_vcpubal": _policy_point,
 }
 
 
