@@ -7,12 +7,9 @@ credit scheduler and the virtual-runtime (Credit2-class) scheduler and
 checks that vScale's mechanism delivers on both substrates.
 """
 
-from dataclasses import replace
-
 from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
 from repro.metrics.report import Table
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
 from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
 
@@ -26,13 +23,9 @@ def run_cell(scheduler: str, config: Config, app_name: str, seed: int = 3):
         .with_config(config)
     )
     scenario = builder.build()
-    scenario.start()
-    scenario.run(2 * SEC)
+    scenario.warm_up()
     seeds = SeedSequenceFactory(seed)
-    profile = NPB_PROFILES[app_name]
-    scale = work_scale()
-    if scale != 1.0:
-        profile = replace(profile, iterations=max(2, round(profile.iterations * scale)))
+    profile = NPB_PROFILES[app_name].scaled(work_scale())
     domain = scenario.worker_domain
     machine = scenario.machine
     wait0 = domain.total_wait_ns(machine.sim.now)

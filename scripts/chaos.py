@@ -115,7 +115,8 @@ def restore_from(args) -> None:
 
 def verify_restore(args) -> None:
     """Capture a pre-crash checkpoint and restore it onto a rebuilt twin."""
-    from repro.experiments.chaos import WARMUP_NS, _build_plan
+    from repro.experiments.chaos import _build_plan
+    from repro.experiments.setups import WARMUP_NS
     from repro.hypervisor.machine import Machine
     from repro.recovery import fingerprint, state_dict
 

@@ -14,7 +14,8 @@ vScale's individual design decisions on our simulated stack:
 Each ablation variant is an independent simulation, so every
 ``run_*_ablation`` fans its variants out through the parallel executor
 (one :class:`~repro.parallel.CellSpec` per variant); the module-level
-``_*_point`` functions are the picklable cell bodies.
+``_*_point`` functions are the picklable cell bodies.  Every point runs
+its app heavy-spinning and without the worker's kernel lock.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from dataclasses import dataclass, field
 
 from repro.core.baselines import HotplugScaler, VCPUBalManager
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import Config, ScenarioBuilder, run_npb
 from repro.guest.hotplug import HotplugModel
 from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import MS, SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
+from repro.units import MS
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
-
-WARMUP_NS = 2 * SEC
 
 
 @dataclass
@@ -65,24 +63,6 @@ class AblationResult:
         return table.render()
 
 
-def _run_app(scenario, app_name: str, seed: int, work_scale: float) -> tuple[int, int]:
-    from dataclasses import replace
-
-    seeds = SeedSequenceFactory(seed)
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        profile = replace(profile, iterations=max(2, round(profile.iterations * work_scale)))
-    domain = scenario.worker_domain
-    wait0 = domain.total_wait_ns(scenario.machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel, profile, SPINCOUNT_ACTIVE, seeds.stream("npb", "normal")
-    )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(scenario.machine.sim.now) - wait0
-    return duration, wait
-
-
 def _mechanism_point(
     variant: str, app_name: str, hotplug_kernel: str, seed: int, work_scale: float
 ) -> AblationPoint:
@@ -104,10 +84,9 @@ def _mechanism_point(
         reconfigs = lambda: scenario.daemon.reconfigurations if scenario.daemon else 0
     else:
         raise ValueError(f"unknown mechanism variant {variant!r}")
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(label, duration, wait, reconfigs())
+    scenario.warm_up()
+    measured = run_npb(scenario, app_name, SPINCOUNT_ACTIVE, seed, work_scale)
+    return AblationPoint(label, measured.duration_ns, measured.wait_ns, reconfigs())
 
 
 def run_mechanism_ablation(
@@ -157,10 +136,9 @@ def _policy_point(
         reconfigs = lambda: manager.reconfigurations
     else:
         raise ValueError(f"unknown policy variant {variant!r}")
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(label, duration, wait, reconfigs())
+    scenario.warm_up()
+    measured = run_npb(scenario, app_name, SPINCOUNT_ACTIVE, seed, work_scale)
+    return AblationPoint(label, measured.duration_ns, measured.wait_ns, reconfigs())
 
 
 def run_policy_ablation(
@@ -192,13 +170,12 @@ def _rounding_point(
     builder = ScenarioBuilder(seed=seed).with_config(Config.VSCALE)
     builder.daemon_config = DaemonConfig(round_mode=mode)
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
+    scenario.warm_up()
+    measured = run_npb(scenario, app_name, SPINCOUNT_ACTIVE, seed, work_scale)
     return AblationPoint(
         f"round={mode}",
-        duration,
-        wait,
+        measured.duration_ns,
+        measured.wait_ns,
         scenario.daemon.reconfigurations if scenario.daemon else 0,
     )
 
@@ -232,13 +209,12 @@ def _period_point(
     builder = ScenarioBuilder(seed=seed).with_config(Config.VSCALE)
     builder.daemon_config = DaemonConfig(period_ns=period_ms * MS)
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
+    scenario.warm_up()
+    measured = run_npb(scenario, app_name, SPINCOUNT_ACTIVE, seed, work_scale)
     return AblationPoint(
         f"period={period_ms}ms",
-        duration,
-        wait,
+        measured.duration_ns,
+        measured.wait_ns,
         scenario.daemon.reconfigurations if scenario.daemon else 0,
     )
 

@@ -24,22 +24,20 @@ machinery for proving it (checkpoint/restore) does not perturb the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import WARMUP_NS, Config, ScenarioBuilder, run_npb
 from repro.faults.chaos import generate_plan
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sim.rng import SeedSequenceFactory
 from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
 
 #: The fault profiles of the grid, in report order.
 PROFILES = ("none", "crash", "hang", "mixed", "outage")
 DEFAULT_APP = "cg"
-WARMUP_NS = 2 * SEC
 #: App-phase window the scripted fault instants are spread over at full
 #: work scale; shrunk with ``work_scale`` so faults still land inside
 #: scaled-down runs.
@@ -101,8 +99,6 @@ def run_chaos_cell(
     runs VANILLA with the centralized VCPU-Bal manager, whose degraded
     mode the outage exercises.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
     if profile not in PROFILES:
         raise ValueError(f"unknown chaos profile {profile!r}")
     seeds = SeedSequenceFactory(seed)
@@ -149,33 +145,18 @@ def run_chaos_cell(
                     event.at_ns, lambda: checkpoints.append(machine.snapshot())
                 )
 
-    scenario.start()
-    scenario.run(WARMUP_NS)
-
-    npb_profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        npb_profile = replace(
-            npb_profile, iterations=max(2, round(npb_profile.iterations * work_scale))
-        )
-    domain = scenario.worker_domain
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel,
-        npb_profile,
-        SPINCOUNT_DEFAULT,
-        seeds.stream("npb", "normal"),
+    scenario.warm_up()
+    measured = run_npb(
+        scenario, app_name, SPINCOUNT_DEFAULT, seed, work_scale,
         kernel_lock=scenario.worker_kernel_lock,
     )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(machine.sim.now) - wait0
 
     stats = scenario.daemon.stats if scenario.daemon is not None else None
     return ChaosCell(
         profile=profile,
         app=app_name,
-        duration_ns=duration,
-        wait_ns=wait,
+        duration_ns=measured.duration_ns,
+        wait_ns=measured.wait_ns,
         snapshots_taken=len(checkpoints),
         snapshot_fingerprints=[c.fingerprint for c in checkpoints],
         recovery=(

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, pool_pcpus, run_until_done
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
 from repro.workloads.parsec import PARSEC_PROFILES, ParsecApp
-
-WARMUP_NS = 2 * SEC
 
 #: Apps the paper highlights as clear winners / as marginal.
 COMM_DRIVEN = ("dedup", "bodytrack", "streamcluster", "vips")
@@ -76,38 +73,22 @@ def run_cell(
 ) -> ParsecCell:
     if app_name not in PARSEC_PROFILES:
         raise KeyError(f"unknown PARSEC app {app_name!r}")
-    # Same pool sizing rule as the NPB harness: the 8-vCPU VM runs on the
-    # 16-logical-CPU host so its relative weight share matches the paper.
-    pcpus = 16 if vcpus >= 8 else 8
-    builder = (
-        ScenarioBuilder(seed=seed, pcpus=pcpus)
+    scenario = (
+        ScenarioBuilder(seed=seed, pcpus=pool_pcpus(vcpus))
         .with_worker_vm(vcpus)
         .with_config(config)
+        .build()
     )
-    scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
+    scenario.warm_up()
 
-    profile = PARSEC_PROFILES[app_name]
-    if work_scale != 1.0:
-        from dataclasses import replace
-
-        if profile.kind == "pipeline":
-            profile = replace(profile, items=max(4, round(profile.items * work_scale)))
-        else:
-            profile = replace(
-                profile, iterations=max(1, round(profile.iterations * work_scale))
-            )
-
-    seeds = SeedSequenceFactory(seed)
     domain = scenario.worker_domain
     ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)
     # The kernel lock exists in every configuration (pv_spinlock only
     # changes the waiting strategy on it).
     app = ParsecApp(
         scenario.worker_kernel,
-        profile,
-        seeds.stream("parsec", "normal"),
+        PARSEC_PROFILES[app_name].scaled(work_scale),
+        SeedSequenceFactory(seed).stream("parsec", "normal"),
         kernel_lock=scenario.worker_kernel_lock,
     )
     app.launch()

@@ -21,8 +21,6 @@ from repro.sim.rng import SeedSequenceFactory
 from repro.units import SEC
 from repro.workloads.apache import ApacheServer, HttperfClient, HttperfResult
 
-WARMUP_NS = 2 * SEC
-
 #: Request rates on the paper's x axis (per second).
 DEFAULT_RATES = [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000]
 
@@ -85,8 +83,7 @@ def run_point(
         kernel_lock=scenario.worker_kernel_lock,
     )
     client = HttperfClient(server, rng=seeds.generator("httperf"))
-    scenario.start()
-    scenario.run(WARMUP_NS)
+    scenario.warm_up()
     client.start(rate_per_s, duration_ns)
     # Run past the end so in-flight requests drain.
     scenario.run(scenario.machine.sim.now + duration_ns + SEC // 2)

@@ -16,19 +16,15 @@ over vanilla on the same scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import Config, ScenarioBuilder, run_npb
 from repro.hypervisor.schedulers import available
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sanitize import InvariantViolation
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
 
-WARMUP_NS = 2 * SEC
 #: The compared configurations: stock host vs. the vScale control loop.
 CONFIGS = (Config.VANILLA, Config.VSCALE)
 #: A synchronization-heavy app — the case where scaling decisions matter.
@@ -68,8 +64,6 @@ def run_cell(
     as ``holds=False`` rather than propagated, so the grid always
     renders a complete yes/no table.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
     scenario = (
         ScenarioBuilder(seed=seed, pcpus=8)
         .with_worker_vm(4)
@@ -80,32 +74,21 @@ def run_cell(
     machine = scenario.machine
     sanitizer = machine.install_sanitizer()
 
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        profile = replace(
-            profile, iterations=max(2, round(profile.iterations * work_scale))
-        )
-    seeds = SeedSequenceFactory(seed)
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        SPINCOUNT_DEFAULT,
-        seeds.stream("npb", "normal"),
-        kernel_lock=scenario.worker_kernel_lock,
-    )
-
     holds = True
     violation = ""
-    duration = 0
+    launched_at = None
     try:
-        scenario.start()
-        scenario.run(WARMUP_NS)
-        app.launch()
-        duration = run_until_done(scenario, app)
+        scenario.warm_up()
+        launched_at = machine.sim.now
+        duration = run_npb(
+            scenario, app_name, SPINCOUNT_DEFAULT, seed, work_scale,
+            kernel_lock=scenario.worker_kernel_lock,
+        ).duration_ns
     except InvariantViolation as exc:
         holds = False
         violation = str(exc)
-        duration = app.duration_ns if app.done else machine.sim.now
+        # Time the app ran before the violation stopped it.
+        duration = 0 if launched_at is None else machine.sim.now - launched_at
 
     daemon = scenario.daemon
     return GeneralityCell(

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
-
-#: Background warm-up before the application launches.
-WARMUP_NS = 2 * SEC
+from repro.experiments.setups import Config, ScenarioBuilder, pool_pcpus, run_npb
 
 
 @dataclass
@@ -48,20 +42,13 @@ def run_cell(
 ) -> NPBCell:
     """Run one cell of the NPB matrix and collect its measurements.
 
-    The pool is sized so the worker keeps the paper's relative position —
-    a quarter of the host's weight — at either VM size: the 4-vCPU VM runs
-    on 8 pCPUs with 6 desktops, the 8-vCPU VM on 16 pCPUs with 12 (the
-    testbed had 16 logical CPUs; consolidation stays at 2 vCPUs/pCPU).
-
+    The pool is sized by :func:`~repro.experiments.setups.pool_pcpus` so
+    the worker keeps the paper's relative position at either VM size.
     ``scheduler`` selects the pool scheduler by registry name (see
     :mod:`repro.hypervisor.schedulers`); ``None`` keeps the default.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
-    if pcpus is None:
-        pcpus = 16 if vcpus >= 8 else 8
     builder = (
-        ScenarioBuilder(seed=seed, pcpus=pcpus)
+        ScenarioBuilder(seed=seed, pcpus=pool_pcpus(vcpus) if pcpus is None else pcpus)
         .with_worker_vm(vcpus)
         .with_config(config)
         .with_scheduler(scheduler)
@@ -69,50 +56,26 @@ def run_cell(
     if daemon_config is not None:
         builder.daemon_config = daemon_config
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
+    scenario.warm_up()
 
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        from dataclasses import replace
-
-        profile = replace(
-            profile, iterations=max(2, round(profile.iterations * work_scale))
-        )
-
-    seeds = SeedSequenceFactory(seed)
     domain = scenario.worker_domain
-    machine = scenario.machine
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    run0 = domain.total_run_ns(machine.sim.now)
     ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)
-
     # The futex-bucket kernel lock exists in every configuration; the
     # pv_spinlock guest option only changes how waiters behave on it.
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        spincount,
-        seeds.stream("npb", "normal"),
+    measured = run_npb(
+        scenario, app_name, spincount, seed, work_scale,
         kernel_lock=scenario.worker_kernel_lock,
     )
-    app.launch()
-    duration = run_until_done(scenario, app)
-
-    now = machine.sim.now
-    wait = domain.total_wait_ns(now) - wait0
-    used = domain.total_run_ns(now) - run0
     ipis = sum(int(v.ipi_received) for v in domain.vcpus) - ipi0
-    ipi_rate = ipis / len(domain.vcpus) * 1e9 / duration
     trace = scenario.daemon.vcpu_trace() if scenario.daemon else []
     return NPBCell(
         app=app_name,
         vcpus=vcpus,
         spincount=spincount,
         config=config,
-        duration_ns=duration,
-        wait_ns=wait,
-        cpu_used_ns=used,
-        ipi_rate_per_vcpu=ipi_rate,
+        duration_ns=measured.duration_ns,
+        wait_ns=measured.wait_ns,
+        cpu_used_ns=measured.run_ns,
+        ipi_rate_per_vcpu=ipis / len(domain.vcpus) * 1e9 / measured.duration_ns,
         vcpu_trace=trace,
     )

@@ -9,6 +9,11 @@ is treated equally by the hypervisor, compared across four configurations:
 * ``PVLOCK``         — stock + paravirtual spinlocks in the guest;
 * ``VSCALE``         — vScale daemon + balancer + scheduler extension;
 * ``VSCALE_PVLOCK``  — both.
+
+This module owns that cell recipe: :class:`ScenarioBuilder` builds the
+host, :meth:`Scenario.warm_up` runs the one background warm-up every cell
+starts with, :func:`pool_pcpus` sizes the pool for the worker VM, and
+:func:`run_npb` launches an NPB app and measures it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from repro.recovery.watchdog import HangWatchdog
 from repro.sim.rng import SeedSequenceFactory
 from repro.units import MS, SEC
 from repro.workloads.desktop import PhotoSlideshow, SlideshowConfig
+from repro.workloads.npb import NPB_PROFILES, NPBApp
+
+#: Background warm-up before the application launches.
+WARMUP_NS = 2 * SEC
 
 
 class Config(enum.Enum):
@@ -69,6 +78,25 @@ class Scenario:
 
     def run(self, until_ns: int) -> None:
         self.machine.run(until=until_ns)
+
+    def warm_up(self) -> None:
+        """Start the host and run it through the background warm-up.
+
+        Every cell's warm-up is this first :meth:`run` from t=0, so a
+        warm-state cache can key on it.
+        """
+        self.start()
+        self.run(WARMUP_NS)
+
+
+def pool_pcpus(vcpus: int) -> int:
+    """Pool size that keeps the worker at a quarter of the host's weight.
+
+    The 4-vCPU VM runs on 8 pCPUs with 6 desktops, the 8-vCPU VM on 16
+    pCPUs with 12 (the testbed had 16 logical CPUs; consolidation stays
+    at 2 vCPUs/pCPU).
+    """
+    return 16 if vcpus >= 8 else 8
 
 
 class ScenarioBuilder:
@@ -196,3 +224,49 @@ def run_until_done(scenario: Scenario, app, timeout_ns: int = 120 * SEC, step_ns
             )
         machine.run(until=min(deadline, machine.sim.now + step_ns))
     return app.duration_ns
+
+
+@dataclass
+class NPBRun:
+    """The worker VM's measurements over one NPB application run."""
+
+    duration_ns: int
+    #: Runnable-but-waiting time of the worker's vCPUs during the run.
+    wait_ns: int
+    #: Running time of the worker's vCPUs during the run.
+    run_ns: int
+
+
+def run_npb(
+    scenario: Scenario,
+    app_name: str,
+    spincount: int,
+    seed: int,
+    work_scale: float = 1.0,
+    kernel_lock: KernelSpinLock | None = None,
+) -> NPBRun:
+    """Launch NPB ``app_name`` on the worker VM and run it to completion.
+
+    ``kernel_lock`` is the futex-bucket lock the app's waiters contend on
+    (normally ``scenario.worker_kernel_lock``; ``None`` runs without one).
+    """
+    if app_name not in NPB_PROFILES:
+        raise KeyError(f"unknown NPB app {app_name!r}")
+    domain = scenario.worker_domain
+    sim = scenario.machine.sim
+    wait0 = domain.total_wait_ns(sim.now)
+    run0 = domain.total_run_ns(sim.now)
+    app = NPBApp(
+        scenario.worker_kernel,
+        NPB_PROFILES[app_name].scaled(work_scale),
+        spincount,
+        SeedSequenceFactory(seed).stream("npb", "normal"),
+        kernel_lock=kernel_lock,
+    )
+    app.launch()
+    duration = run_until_done(scenario, app)
+    return NPBRun(
+        duration_ns=duration,
+        wait_ns=domain.total_wait_ns(sim.now) - wait0,
+        run_ns=domain.total_run_ns(sim.now) - run0,
+    )

@@ -20,7 +20,7 @@ These are behavioural models, not ports: the computation itself is opaque
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,11 +73,17 @@ class NPBProfile:
             raise ValueError(
                 f"unknown NPB class {problem_class!r}; choose from {sorted(factors)}"
             )
-        from dataclasses import replace
-
         return replace(
             self, phase_ns=max(1000, round(self.phase_ns * factors[problem_class]))
         )
+
+    def scaled(self, work_scale: float) -> "NPBProfile":
+        """Scale the run length (the experiments' ``work_scale``).
+
+        Only the iteration count moves, to at least two; the per-phase
+        compute and the synchronization structure stay those of the class.
+        """
+        return replace(self, iterations=max(2, round(self.iterations * work_scale)))
 
 
 #: Calibrated profiles.  Total per-thread work is ~0.4-0.8 s so a full

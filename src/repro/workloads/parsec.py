@@ -25,7 +25,7 @@ and assign each application calibrated parameters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,12 +82,17 @@ class ParsecProfile:
             raise ValueError(
                 f"unknown PARSEC input {input_size!r}; choose from {sorted(factors)}"
             )
-        from dataclasses import replace
+        return self.scaled(factors[input_size])
 
-        factor = factors[input_size]
+    def scaled(self, work_scale: float) -> "ParsecProfile":
+        """Scale the number of work units by ``work_scale``.
+
+        Pipelines scale their items (at least four), every other kind its
+        iterations (at least one); the per-unit cost stays fixed.
+        """
         if self.kind == "pipeline":
-            return replace(self, items=max(4, round(self.items * factor)))
-        return replace(self, iterations=max(1, round(self.iterations * factor)))
+            return replace(self, items=max(4, round(self.items * work_scale)))
+        return replace(self, iterations=max(1, round(self.iterations * work_scale)))
 
 
 PARSEC_PROFILES: dict[str, ParsecProfile] = {

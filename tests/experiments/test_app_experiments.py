@@ -4,9 +4,9 @@ benchmarks/."""
 
 import pytest
 
-from repro.experiments import fig6_7, fig8, fig9, fig10, fig11_13, fig14
-from repro.experiments.setups import Config
-from repro.units import SEC
+from repro.experiments import fig6_7, fig8, fig9, fig10, fig11_13, fig14, generality
+from repro.experiments.setups import WARMUP_NS, Config
+from repro.units import MS, SEC
 from repro.workloads.openmp import SPINCOUNT_ACTIVE, SPINCOUNT_PASSIVE
 
 
@@ -107,3 +107,22 @@ class TestFig14:
             result = fig14.run_point(config, 1000, duration_ns=1 * SEC)
             assert result.drops == 0
             assert result.reply_rate == pytest.approx(1000, rel=0.05)
+
+
+class TestGenerality:
+    def test_violation_reports_time_since_launch(self, monkeypatch):
+        from repro.sanitize import Sanitizer
+
+        check = Sanitizer.check_dispatch
+
+        def failing(self, sim, event):
+            if sim.now >= WARMUP_NS + 10 * MS:
+                self.fail("injected", "violation injected after the warm-up")
+            check(self, sim, event)
+
+        monkeypatch.setattr(Sanitizer, "check_dispatch", failing)
+        cell = generality.run_cell("credit", Config.VSCALE, work_scale=0.05)
+        assert not cell.holds
+        assert "injected" in cell.violation
+        # The app's own run time, not the absolute clock (warm-up included).
+        assert 0 < cell.duration_ns < 1 * SEC

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import (
+    ALL_CONFIGS,
+    WARMUP_NS,
+    Config,
+    Scenario,
+    ScenarioBuilder,
+    run_until_done,
+)
 from repro.units import MS, SEC
 
 
@@ -56,3 +63,18 @@ def test_run_until_done_times_out():
 
     with pytest.raises(TimeoutError):
         run_until_done(scenario, NeverDone(), timeout_ns=200 * MS)
+
+
+def test_warm_up_is_the_first_run_from_zero(monkeypatch):
+    runs = []
+    original = Scenario.run
+
+    def recording_run(self, until_ns):
+        runs.append((self.machine.sim.now, until_ns))
+        original(self, until_ns)
+
+    monkeypatch.setattr(Scenario, "run", recording_run)
+    scenario = ScenarioBuilder(seed=5).build()
+    scenario.warm_up()
+    assert runs == [(0, WARMUP_NS)]
+    assert scenario.machine.sim.now == WARMUP_NS

@@ -10,13 +10,10 @@ from tests.conftest import StackBuilder
 
 
 def run_app(name, spincount=SPINCOUNT_ACTIVE, nthreads=None, scale=0.05):
-    from dataclasses import replace
-
     builder = StackBuilder(pcpus=4)
     kernel = builder.guest("vm", vcpus=4)
     seeds = SeedSequenceFactory(1)
-    profile = NPB_PROFILES[name]
-    profile = replace(profile, iterations=max(2, round(profile.iterations * scale)))
+    profile = NPB_PROFILES[name].scaled(scale)
     app = NPBApp(kernel, profile, spincount, seeds.generator("npb"), nthreads=nthreads)
     app.launch()
     machine = builder.start()
@@ -26,6 +23,14 @@ def run_app(name, spincount=SPINCOUNT_ACTIVE, nthreads=None, scale=0.05):
 
 def test_profiles_cover_the_suite():
     assert set(NPB_PROFILES) == {"bt", "cg", "dc", "ep", "ft", "is", "lu", "mg", "sp", "ua"}
+
+
+def test_scaled_shrinks_iterations_only_and_keeps_two():
+    cg = NPB_PROFILES["cg"]
+    assert cg.scaled(1.0) == cg
+    assert cg.scaled(0.05).iterations == 30
+    assert cg.scaled(0.05).phase_ns == cg.phase_ns
+    assert NPB_PROFILES["ep"].scaled(0.01).iterations == 2
 
 
 def test_lu_has_custom_spin_and_sparse_barriers():

@@ -32,6 +32,15 @@ def test_profiles_cover_the_suite():
     assert kinds == {"barrier", "pipeline", "locks", "compute", "openmp"}
 
 
+def test_scaled_moves_items_for_pipelines_and_iterations_otherwise():
+    dedup, bodytrack = PARSEC_PROFILES["dedup"], PARSEC_PROFILES["bodytrack"]
+    assert dedup.scaled(0.05).items == 125
+    assert dedup.scaled(0.0001).items == 4
+    assert bodytrack.scaled(0.05).iterations == 18
+    assert PARSEC_PROFILES["swaptions"].scaled(0.05).iterations == 1
+    assert bodytrack.with_input("simlarge") == bodytrack.scaled(4.0)
+
+
 @pytest.mark.parametrize(
     "name", ["dedup", "streamcluster", "bodytrack", "swaptions", "freqmine", "ferret"]
 )
