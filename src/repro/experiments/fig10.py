@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.npb_common import run_cell
-from repro.experiments.setups import Config
+from repro.experiments.setups import Config, warm_cell
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.workloads.npb import NPB_PROFILES
@@ -57,7 +57,7 @@ def cells(
     work_scale: float = 1.0,
 ) -> list[CellSpec]:
     return [
-        CellSpec(
+        warm_cell(
             experiment="fig10",
             name=f"{app}/spin={spincount}",
             fn=run_cell,

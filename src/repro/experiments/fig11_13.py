@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, pool_pcpus, run_until_done
+from repro.experiments.setups import (
+    ALL_CONFIGS,
+    Config,
+    Scenario,
+    run_until_done,
+    warm_cell,
+    warmed,
+)
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sim.rng import SeedSequenceFactory
@@ -70,16 +77,16 @@ def run_cell(
     config: Config,
     seed: int = 3,
     work_scale: float = 1.0,
+    scenario: Scenario | None = None,
 ) -> ParsecCell:
+    """Run one PARSEC app on the warm consolidated host.
+
+    ``scenario``, when given, is that host already warmed from the same
+    arguments (see :func:`~repro.experiments.setups.warmed`).
+    """
     if app_name not in PARSEC_PROFILES:
         raise KeyError(f"unknown PARSEC app {app_name!r}")
-    scenario = (
-        ScenarioBuilder(seed=seed, pcpus=pool_pcpus(vcpus))
-        .with_worker_vm(vcpus)
-        .with_config(config)
-        .build()
-    )
-    scenario.warm_up()
+    scenario = warmed(scenario, seed=seed, vcpus=vcpus, config=config)
 
     domain = scenario.worker_domain
     ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)
@@ -110,7 +117,7 @@ def cells(
     work_scale: float = 1.0,
 ) -> list[CellSpec]:
     return [
-        CellSpec(
+        warm_cell(
             experiment="fig11_13",
             name=f"{vcpus}v/{app}/{config.value}",
             fn=run_cell,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.npb_common import NPBCell, run_cell
-from repro.experiments.setups import ALL_CONFIGS, Config
+from repro.experiments.setups import ALL_CONFIGS, Config, warm_cell
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.workloads.npb import NPB_PROFILES
@@ -105,7 +105,7 @@ def cells(
                     name += f"/sched={scheduler}"
                     kwargs["scheduler"] = scheduler
                 specs.append(
-                    CellSpec(
+                    warm_cell(
                         experiment="fig6_7",
                         name=name,
                         fn=run_cell,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.npb_common import run_cell
-from repro.experiments.setups import Config
+from repro.experiments.setups import Config, warm_cell
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.workloads.npb import NPB_PROFILES
@@ -62,7 +62,7 @@ def cells(
     for app in apps or list(NPB_PROFILES):
         for config in configs:
             specs.append(
-                CellSpec(
+                warm_cell(
                     experiment="fig9",
                     name=f"{app}/{config.value}",
                     fn=run_cell,

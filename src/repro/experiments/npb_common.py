@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.setups import Config, ScenarioBuilder, pool_pcpus, run_npb
+from repro.experiments.setups import Config, Scenario, run_npb, warmed
 
 
 @dataclass
@@ -39,24 +39,22 @@ def run_cell(
     daemon_config=None,
     pcpus: int | None = None,
     scheduler: str | None = None,
+    scenario: Scenario | None = None,
 ) -> NPBCell:
     """Run one cell of the NPB matrix and collect its measurements.
 
-    The pool is sized by :func:`~repro.experiments.setups.pool_pcpus` so
-    the worker keeps the paper's relative position at either VM size.
+    The host is :func:`~repro.experiments.setups.warm_scenario`'s: the
+    pool is sized by :func:`~repro.experiments.setups.pool_pcpus` so the
+    worker keeps the paper's relative position at either VM size, and
     ``scheduler`` selects the pool scheduler by registry name (see
     :mod:`repro.hypervisor.schedulers`); ``None`` keeps the default.
+    ``scenario``, when given, is that host already warmed from the same
+    arguments (see :func:`~repro.experiments.setups.warmed`).
     """
-    builder = (
-        ScenarioBuilder(seed=seed, pcpus=pool_pcpus(vcpus) if pcpus is None else pcpus)
-        .with_worker_vm(vcpus)
-        .with_config(config)
-        .with_scheduler(scheduler)
+    scenario = warmed(
+        scenario, seed=seed, vcpus=vcpus, config=config, scheduler=scheduler,
+        pcpus=pcpus, daemon_config=daemon_config,
     )
-    if daemon_config is not None:
-        builder.daemon_config = daemon_config
-    scenario = builder.build()
-    scenario.warm_up()
 
     domain = scenario.worker_domain
     ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)

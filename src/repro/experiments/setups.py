@@ -12,14 +12,23 @@ is treated equally by the hypervisor, compared across four configurations:
 
 This module owns that cell recipe: :class:`ScenarioBuilder` builds the
 host, :meth:`Scenario.warm_up` runs the one background warm-up every cell
-starts with, :func:`pool_pcpus` sizes the pool for the worker VM, and
+starts with, :func:`warm_scenario` does both for the NPB and PARSEC
+cells, :func:`pool_pcpus` sizes the pool for the worker VM, and
 :func:`run_npb` launches an NPB app and measures it.
+
+A warm scenario depends only on :func:`warm_args`, not on the app that
+runs next, so cells can share one: :func:`warm_cell` names it on a
+cell's spec for the parallel executor, which builds it once per group
+of cells and hands each cell a private copy as its ``scenario``
+argument.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.core.daemon import DaemonConfig, VScaleDaemon
 from repro.faults import FaultPlan
@@ -28,6 +37,7 @@ from repro.guest.sync import KernelSpinLock
 from repro.hypervisor.config import HostConfig
 from repro.hypervisor.domain import Domain
 from repro.hypervisor.machine import Machine
+from repro.parallel import CellSpec, WarmKey
 from repro.recovery.watchdog import HangWatchdog
 from repro.sim.rng import SeedSequenceFactory
 from repro.units import MS, SEC
@@ -72,6 +82,9 @@ class Scenario:
     config: Config = Config.VANILLA
     #: Hang watchdog on the worker guest, when requested (chaos runs).
     watchdog: HangWatchdog | None = None
+    #: The :func:`warm_args` this scenario was warmed from, when
+    #: :func:`warm_scenario` built it.
+    warm_args: dict[str, Any] | None = None
 
     def start(self) -> None:
         self.machine.start()
@@ -97,6 +110,89 @@ def pool_pcpus(vcpus: int) -> int:
     at 2 vCPUs/pCPU).
     """
     return 16 if vcpus >= 8 else 8
+
+
+def warm_args(
+    seed: int,
+    vcpus: int,
+    config: Config,
+    scheduler: str | None = None,
+    pcpus: int | None = None,
+    daemon_config: DaemonConfig | None = None,
+) -> dict[str, Any]:
+    """Everything a warm scenario depends on, with the defaults filled in."""
+    return dict(
+        seed=seed,
+        vcpus=vcpus,
+        config=config,
+        scheduler=scheduler,
+        pcpus=pool_pcpus(vcpus) if pcpus is None else pcpus,
+        daemon_config=daemon_config,
+    )
+
+
+_WARM_PARAMS = frozenset(inspect.signature(warm_args).parameters)
+
+
+def warm_scenario(
+    seed: int,
+    vcpus: int,
+    config: Config,
+    scheduler: str | None = None,
+    pcpus: int | None = None,
+    daemon_config: DaemonConfig | None = None,
+) -> Scenario:
+    """Build the consolidated host around a ``vcpus`` worker and warm it up.
+
+    ``pcpus`` defaults to :func:`pool_pcpus`; ``scheduler`` selects the
+    pool scheduler by registry name (``None`` keeps the default).
+    """
+    args = warm_args(seed, vcpus, config, scheduler, pcpus, daemon_config)
+    builder = (
+        ScenarioBuilder(seed=seed, pcpus=args["pcpus"])
+        .with_worker_vm(vcpus)
+        .with_config(config)
+        .with_scheduler(scheduler)
+    )
+    builder.daemon_config = daemon_config
+    scenario = builder.build()
+    scenario.warm_args = args
+    scenario.warm_up()
+    return scenario
+
+
+def warmed(scenario: Scenario | None, **args: Any) -> Scenario:
+    """The warm scenario a cell runs on.
+
+    Builds one from ``args`` (see :func:`warm_args`) when ``scenario`` is
+    None.  A given scenario must be fresh from a warm-up with the same
+    arguments; anything else raises ``ValueError`` rather than running
+    the cell on the wrong state.
+    """
+    if scenario is None:
+        return warm_scenario(**args)
+    expected = warm_args(**args)
+    if scenario.warm_args != expected:
+        raise ValueError(
+            f"scenario was warmed from {scenario.warm_args}, the cell needs {expected}"
+        )
+    if scenario.machine.sim.now != WARMUP_NS:
+        raise ValueError("scenario has run past its warm-up")
+    return scenario
+
+
+def warm_cell(
+    experiment: str, name: str, fn: Callable[..., Any], kwargs: dict[str, Any]
+) -> CellSpec:
+    """A cell spec whose warm key is the warm state ``fn(**kwargs)`` builds.
+
+    ``fn`` is an NPB or PARSEC ``run_cell``: its warm state is
+    :func:`warm_scenario` of the :func:`warm_args` among ``kwargs``.
+    """
+    args = {key: value for key, value in kwargs.items() if key in _WARM_PARAMS}
+    return CellSpec(
+        experiment, name, fn, kwargs, warm=WarmKey(warm_scenario, warm_args(**args))
+    )
 
 
 class ScenarioBuilder:

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from repro.experiments.npb_common import run_cell
-from repro.experiments.setups import Config
+from repro.experiments.setups import Config, warm_cell
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 
@@ -76,7 +76,7 @@ def cells(
     work_scale: float = 1.0,
 ) -> list[CellSpec]:
     return [
-        CellSpec(
+        warm_cell(
             experiment="variance",
             name=f"{app}/seed={seed}/{config.value}",
             fn=run_cell,

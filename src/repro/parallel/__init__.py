@@ -22,6 +22,7 @@ from repro.parallel.executor import (
     ENV_JOBS,
     CellSpec,
     ParallelExecutor,
+    WarmKey,
     cache_from_env,
     default_cache_dir,
     get_default_executor,
@@ -40,6 +41,7 @@ __all__ = [
     "ENV_JOBS",
     "CellSpec",
     "ParallelExecutor",
+    "WarmKey",
     "cache_from_env",
     "default_cache_dir",
     "get_default_executor",

@@ -55,6 +55,9 @@ class Telemetry:
     recovered_cells: int = 0
     #: Cache keys whose entries were quarantined as corrupt.
     corrupt_entries: list[str] = field(default_factory=list)
+    #: Warm states simulated for cells with a warm key: one per cell run
+    #: on its own, one per group of cells that shared it.
+    warmups: int = 0
 
     def record(self, record: CellRecord) -> None:
         self.records.append(record)
@@ -84,7 +87,8 @@ class Telemetry:
     def summary(self) -> str:
         text = (
             f"[telemetry] cells={len(self.records)} hits={self.hits} "
-            f"misses={self.misses} executed={self.executed_seconds():.1f}s"
+            f"misses={self.misses} executed={self.executed_seconds():.1f}s "
+            f"warmups={self.warmups}"
         )
         if self.recovered_cells:
             text += f" recovered={self.recovered_cells}"
@@ -99,6 +103,7 @@ class Telemetry:
             "executed_seconds": self.executed_seconds(),
             "recovered_cells": self.recovered_cells,
             "corrupt_entries": list(self.corrupt_entries),
+            "warmups": self.warmups,
             "cells": [
                 {
                     "experiment": r.experiment,

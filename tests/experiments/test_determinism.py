@@ -8,9 +8,11 @@ byte-identical to a plain serial run.  This test is the standing
 correctness harness for ``repro.parallel`` (tier-1).
 """
 
-from repro.experiments import fig6_7, results
+import pytest
+
+from repro.experiments import fig6_7, fig11_13, results
 from repro.experiments.npb_common import run_cell
-from repro.experiments.setups import Config
+from repro.experiments.setups import Config, warm_scenario
 from repro.parallel import CellSpec, ParallelExecutor
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
 
@@ -66,3 +68,47 @@ def test_figure_result_identical_through_pool():
     pooled = fig6_7.run(**kwargs, executor=ParallelExecutor(jobs=4))
     assert serial.render() == pooled.render()
     assert results.dumps(serial, "fig6") == results.dumps(pooled, "fig6")
+
+
+def _warm_group_specs():
+    """NPB and PARSEC cells sharing one warm key per configuration."""
+    specs = []
+    for config in CONFIGS:
+        specs += fig6_7.cells(
+            vcpus=4, apps=["cg", "ep"], spincounts=(SPINCOUNT_ACTIVE,),
+            configs=[config], seed=3, work_scale=WORK_SCALE,
+        )
+        specs += fig11_13.cells(
+            vcpus=4, apps=["dedup", "blackscholes"], configs=[config],
+            seed=3, work_scale=WORK_SCALE,
+        )
+    return specs
+
+
+def test_warm_groups_match_inline_and_direct_calls():
+    specs = _warm_group_specs()
+    direct = [spec.fn(**spec.kwargs) for spec in specs]
+    inline = ParallelExecutor(jobs=1).run_cells(specs)
+    executor = ParallelExecutor(jobs=2)
+    grouped = executor.run_cells(specs)
+    # The 8 cells shared 2 keys x 2 workers = 4 warm-ups.
+    assert executor.telemetry.warmups == 4
+
+    assert direct == inline == grouped
+    for a, b, c in zip(direct, inline, grouped):
+        assert results.dumps(a) == results.dumps(b) == results.dumps(c)
+
+
+def test_cells_reject_a_scenario_warmed_from_other_arguments():
+    scenario = warm_scenario(seed=3, vcpus=4, config=Config.VANILLA)
+    with pytest.raises(ValueError, match="warmed from"):
+        run_cell("cg", 4, SPINCOUNT_ACTIVE, Config.VSCALE, seed=3, scenario=scenario)
+    with pytest.raises(ValueError, match="warmed from"):
+        fig11_13.run_cell("dedup", 4, Config.VANILLA, seed=4, scenario=scenario)
+
+    run_cell(
+        "cg", 4, SPINCOUNT_ACTIVE, Config.VANILLA, seed=3,
+        work_scale=WORK_SCALE, scenario=scenario,
+    )
+    with pytest.raises(ValueError, match="past its warm-up"):
+        run_cell("cg", 4, SPINCOUNT_ACTIVE, Config.VANILLA, seed=3, scenario=scenario)

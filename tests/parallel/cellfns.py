@@ -52,3 +52,39 @@ def sleepy_in_worker(x: int, sleep_s: float) -> int:
     if multiprocessing.parent_process() is not None:
         time.sleep(sleep_s)
     return x * x
+
+
+# Warm-keyed cells: ``warm_state(base)`` stands in for a warm scenario,
+# and each cell takes it as ``scenario`` (or builds it when run alone).
+def warm_state(base: int) -> dict:
+    return {"base": base}
+
+
+def warm_add(x: int, base: int, scenario: dict | None = None) -> int:
+    state = warm_state(base) if scenario is None else scenario
+    return state["base"] + x
+
+
+def warm_crash_in_worker(x: int, base: int, scenario: dict | None = None) -> int:
+    """:func:`warm_add` that dies abruptly in a pool worker (or its child)."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        os._exit(42)
+    return warm_add(x, base, scenario)
+
+
+def warm_sleepy_in_worker(
+    x: int, base: int, sleep_s: float, scenario: dict | None = None
+) -> int:
+    """:func:`warm_add` that hangs for ``sleep_s`` outside the main process."""
+    import multiprocessing
+    import time
+
+    if multiprocessing.parent_process() is not None:
+        time.sleep(sleep_s)
+    return warm_add(x, base, scenario)
+
+
+def warm_boom(x: int, base: int, scenario: dict | None = None) -> int:
+    raise RuntimeError(f"cell {x} failed")

@@ -7,6 +7,7 @@ from repro.parallel import (
     ParallelExecutor,
     ResultCache,
     Telemetry,
+    WarmKey,
     get_default_executor,
 )
 from tests.parallel import cellfns
@@ -120,6 +121,39 @@ def test_telemetry_records_timestamps():
     payload = telemetry.to_dict()
     assert payload["misses"] == 2
     assert len(payload["cells"]) == 2
+
+
+def warm_specs(bases=(10, 20), values=(1, 2, 3, 4)):
+    """Cells over the warm keys ``cellfns.warm_state(base)``, one per base."""
+    return [
+        CellSpec(
+            "unit", f"cell-{base}-{v}", cellfns.warm_add, dict(x=v, base=base),
+            warm=WarmKey(cellfns.warm_state, dict(base=base)),
+        )
+        for base in bases
+        for v in values
+    ]
+
+
+def test_warm_groups_share_warmups():
+    expected = [11, 12, 13, 14, 21, 22, 23, 24]
+    pooled = ParallelExecutor(jobs=2)
+    assert pooled.run_cells(warm_specs()) == expected
+    # Each key's cells are dealt to both workers: at most 2 x 2 warm-ups.
+    assert pooled.telemetry.warmups <= 4
+    assert len(pooled.telemetry.records) == 8
+
+    inline = ParallelExecutor(jobs=1)
+    assert inline.run_cells(warm_specs()) == expected
+    assert inline.telemetry.warmups == 8
+    assert "warmups=8" in inline.telemetry.summary()
+    assert inline.telemetry.to_dict()["warmups"] == 8
+
+
+def test_trace_dir_turns_warm_sharing_off(tmp_path):
+    executor = ParallelExecutor(jobs=2, trace_dir=tmp_path)
+    assert executor.run_cells(warm_specs()) == [11, 12, 13, 14, 21, 22, 23, 24]
+    assert executor.telemetry.warmups == 8
 
 
 def test_jobs_floor_is_one():

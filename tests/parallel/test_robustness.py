@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.parallel import CellSpec, ParallelExecutor, ResultCache
+from repro.parallel import CellSpec, ParallelExecutor, ResultCache, WarmKey
 from repro.parallel.cache import MISS
 from repro.parallel.executor import (
     ENV_CELL_RETRIES,
@@ -18,6 +18,15 @@ from tests.parallel import cellfns
 def specs_for(values, fn=cellfns.square, **extra):
     return [
         CellSpec("unit", f"cell-{v}", fn, dict(x=v, **extra)) for v in values
+    ]
+
+
+def warm_specs(values, fn=cellfns.warm_add, base=10, **extra):
+    """Cells sharing the warm state ``cellfns.warm_state(base)``."""
+    warm = WarmKey(cellfns.warm_state, dict(base=base))
+    return [
+        CellSpec("unit", f"cell-{v}", fn, dict(x=v, base=base, **extra), warm=warm)
+        for v in values
     ]
 
 
@@ -80,6 +89,39 @@ class TestCellBugsStillPropagate:
             executor.run_cells(
                 specs_for([5, 6], fn=cellfns.boom)
             )
+
+
+class TestWarmGroups:
+    """Cells forked from a shared warm state keep per-cell recovery.
+
+    Two workers deal one warm key's cells into two chunks of at least
+    two, so every failing cell below has siblings in its chunk.
+    """
+
+    def test_crashed_forked_cell_recovered_serially(self):
+        executor = ParallelExecutor(jobs=2, max_retries=0)
+        specs = warm_specs([1], fn=cellfns.warm_crash_in_worker)
+        specs += warm_specs([2, 3, 4, 5])
+        assert executor.run_cells(specs) == [11, 12, 13, 14, 15]
+        [record] = [r for r in executor.telemetry.records if r.recovered]
+        assert (record.cell, record.recovered) == ("cell-1", "crash")
+        # Two shared warm-ups, plus the crashed cell's own in the fallback.
+        assert executor.telemetry.warmups == 3
+
+    def test_hung_forked_cell_times_out_without_losing_siblings(self):
+        executor = ParallelExecutor(jobs=2, cell_timeout_s=0.5, max_retries=0)
+        specs = warm_specs([2], fn=cellfns.warm_sleepy_in_worker, sleep_s=60.0)
+        specs += warm_specs([3, 4, 5, 6])
+        assert executor.run_cells(specs) == [12, 13, 14, 15, 16]
+        [record] = [r for r in executor.telemetry.records if r.recovered]
+        assert (record.cell, record.recovered) == ("cell-2", "timeout")
+        assert executor.telemetry.warmups == 3
+
+    def test_forked_cell_exceptions_propagate(self):
+        executor = ParallelExecutor(jobs=2, max_retries=3)
+        specs = warm_specs([5], fn=cellfns.warm_boom) + warm_specs([6, 7, 8])
+        with pytest.raises(RuntimeError, match="cell 5 failed"):
+            executor.run_cells(specs)
 
 
 class TestEnvKnobs:
